@@ -455,6 +455,48 @@ static void BM_GaussianBlur(benchmark::State& state) {
 }
 BENCHMARK(BM_GaussianBlur)->Arg(5)->Arg(31);
 
+// Seed per-tap clamped loop, kept as the same-run reference for the
+// row-vectorized separable passes above (bit-identical output).
+static void BM_GaussianBlurRef(benchmark::State& state) {
+  const auto gray = img::rgb_to_gray(bench_scene_rgb(256));
+  const int k = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    auto out = img::gaussian_blur_ref(gray, k);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_GaussianBlurRef)->Arg(5)->Arg(31);
+
+// The cloud filter's alpha/beta smoothing: float plane, k = 81.
+static img::ImageF32 bench_plane_f32(int size) {
+  const auto gray = img::rgb_to_gray(bench_scene_rgb(size));
+  img::ImageF32 plane(size, size, 1);
+  for (std::size_t i = 0; i < gray.size(); ++i) {
+    plane.data()[i] = gray.data()[i] / 255.0f;
+  }
+  return plane;
+}
+
+static void BM_GaussianBlurF32(benchmark::State& state) {
+  const auto plane = bench_plane_f32(256);
+  const int k = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    auto out = img::gaussian_blur(plane, k);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_GaussianBlurF32)->Arg(81);
+
+static void BM_GaussianBlurF32Ref(benchmark::State& state) {
+  const auto plane = bench_plane_f32(256);
+  const int k = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    auto out = img::gaussian_blur_ref(plane, k);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_GaussianBlurF32Ref)->Arg(81);
+
 static void BM_MedianFilter(benchmark::State& state) {
   const auto gray = img::rgb_to_gray(bench_scene_rgb(256));
   for (auto _ : state) {

@@ -696,27 +696,22 @@ void ShardRouter::probe(Shard& shard) {
           << (heartbeat.brownout_active ? ", brownout active" : "");
     }
   } catch (const net::TransportError&) {
-    {
-      const std::scoped_lock lock(shard.mutex);
-      ++shard.heartbeats_failed;
-    }
-    record_failure(shard);
-    schedule_reprobe(shard);
+    record_probe_failure(shard);
   } catch (const net::WireError&) {
-    {
-      const std::scoped_lock lock(shard.mutex);
-      ++shard.heartbeats_failed;
-    }
-    record_failure(shard);
-    schedule_reprobe(shard);
+    record_probe_failure(shard);
   }
 }
 
-void ShardRouter::schedule_reprobe(Shard& shard) {
-  // After record_failure() so the quarantine transition (if this probe
+void ShardRouter::record_probe_failure(Shard& shard) {
+  // record_failure() first, so the quarantine transition (if this probe
   // tripped it) is already visible: a still-healthy shard keeps the plain
-  // heartbeat cadence; a quarantined one backs off exponentially.
+  // heartbeat cadence; a quarantined one backs off exponentially. The
+  // failure count is published in the same critical section as that
+  // schedule, so a stats() reader that sees the failure also sees the
+  // redial_attempts it produced.
+  record_failure(shard);
   const std::scoped_lock lock(shard.mutex);
+  ++shard.heartbeats_failed;
   if (shard.healthy) {
     shard.redial_attempts = 0;
     shard.next_probe_at = clock_->now() + config_.heartbeat_period;

@@ -216,10 +216,10 @@ class ShardRouter {
   void heartbeat_loop();
   void probe(Shard& shard);
 
-  /// Schedules the next probe of a shard whose probe just failed: plain
-  /// heartbeat cadence while healthy, capped exponential backoff with
-  /// deterministic jitter once quarantined.
-  void schedule_reprobe(Shard& shard);
+  /// Records a failed probe (quarantine accounting, failure count) and
+  /// schedules the next one: plain heartbeat cadence while healthy, capped
+  /// exponential backoff with deterministic jitter once quarantined.
+  void record_probe_failure(Shard& shard);
   [[nodiscard]] std::chrono::milliseconds redial_delay(const Shard& shard,
                                                        int attempt) const;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 namespace polarice::img {
 
@@ -17,9 +18,10 @@ std::uint8_t round_u8(float v) noexcept {
   return static_cast<std::uint8_t>(std::clamp(std::lround(v), 0L, 255L));
 }
 
-/// Separable convolution with a symmetric 1-D kernel, replicated borders.
+/// Seed implementation: separable convolution with a symmetric 1-D kernel
+/// and replicated borders, one bounds-clamped tap at a time.
 template <typename T>
-Image<T> separable(const Image<T>& src, const std::vector<float>& k) {
+Image<T> separable_ref(const Image<T>& src, const std::vector<float>& k) {
   const int radius = static_cast<int>(k.size()) / 2;
   const int w = src.width(), h = src.height(), nc = src.channels();
   Image<float> tmp(w, h, nc);
@@ -55,6 +57,67 @@ Image<T> separable(const Image<T>& src, const std::vector<float>& k) {
   }
   return out;
 }
+
+/// Production separable convolution: both passes sweep whole contiguous rows
+/// so the inner loops vectorize across output pixels. Every output element
+/// still starts from 0 and takes its taps in kernel order with the same
+/// `acc += k * x` step as separable_ref, so the two are bit-identical
+/// (both live in this translation unit, so FMA contraction, where the target
+/// has it, applies to both alike). Symmetric-tap folding or running sums
+/// would be faster but round differently.
+template <typename T>
+Image<T> separable(const Image<T>& src, const std::vector<float>& k) {
+  const int n = static_cast<int>(k.size());
+  const int radius = n / 2;
+  const int w = src.width(), h = src.height(), nc = src.channels();
+  const std::size_t row = static_cast<std::size_t>(w) * nc;
+
+  // Horizontal pass: stage each source row once as floats with `radius`
+  // replicated pixels on each side, then tap i adds the line shifted by i
+  // pixels to the whole row. tmp starts zeroed (Image's constructor).
+  Image<float> tmp(w, h, nc);
+  const std::size_t pad = static_cast<std::size_t>(radius) * nc;
+  std::vector<float> line(pad + row + pad);
+  for (int y = 0; y < h; ++y) {
+    const T* s = src.data() + y * row;
+    for (std::size_t j = 0; j < pad; ++j) {
+      line[j] = static_cast<float>(s[j % nc]);
+      line[pad + row + j] = static_cast<float>(s[row - nc + j % nc]);
+    }
+    for (std::size_t j = 0; j < row; ++j) {
+      line[pad + j] = static_cast<float>(s[j]);
+    }
+    float* t = tmp.data() + y * row;
+    for (int i = 0; i < n; ++i) {
+      const float ki = k[i];
+      const float* l = line.data() + static_cast<std::size_t>(i) * nc;
+      for (std::size_t j = 0; j < row; ++j) t[j] += ki * l[j];
+    }
+  }
+
+  // Vertical pass: tap i adds the clamped source row y + i - radius.
+  Image<T> out(w, h, nc);
+  std::vector<float> acc(row);
+  for (int y = 0; y < h; ++y) {
+    std::fill(acc.begin(), acc.end(), 0.0f);
+    float* a = acc.data();
+    for (int i = 0; i < n; ++i) {
+      const float ki = k[i];
+      const float* r =
+          tmp.data() + std::clamp(y + i - radius, 0, h - 1) * row;
+      for (std::size_t j = 0; j < row; ++j) a[j] += ki * r[j];
+    }
+    T* o = out.data() + y * row;
+    for (std::size_t j = 0; j < row; ++j) {
+      if constexpr (std::is_same_v<T, std::uint8_t>) {
+        o[j] = round_u8(a[j]);
+      } else {
+        o[j] = a[j];
+      }
+    }
+  }
+  return out;
+}
 }  // namespace
 
 std::vector<float> gaussian_kernel_1d(int ksize, double sigma) {
@@ -84,6 +147,20 @@ ImageU8 gaussian_blur(const ImageU8& src, int ksize, double sigma) {
 
 ImageF32 gaussian_blur(const ImageF32& src, int ksize, double sigma) {
   return separable(src, gaussian_kernel_1d(ksize, sigma));
+}
+
+ImageU8 box_filter_ref(const ImageU8& src, int ksize) {
+  require_odd(ksize, "box_filter_ref");
+  const std::vector<float> k(ksize, 1.0f / static_cast<float>(ksize));
+  return separable_ref(src, k);
+}
+
+ImageU8 gaussian_blur_ref(const ImageU8& src, int ksize, double sigma) {
+  return separable_ref(src, gaussian_kernel_1d(ksize, sigma));
+}
+
+ImageF32 gaussian_blur_ref(const ImageF32& src, int ksize, double sigma) {
+  return separable_ref(src, gaussian_kernel_1d(ksize, sigma));
 }
 
 ImageU8 median_filter(const ImageU8& src, int ksize) {

@@ -1,6 +1,13 @@
 #pragma once
 // Smoothing / noise filters (paper §III.A "noise filtering"): box, Gaussian
 // (separable), and median. Borders replicate (cv::BORDER_REPLICATE).
+//
+// Box and Gaussian share one separable convolution whose two passes sweep
+// contiguous rows, so the compiler vectorizes them across output pixels.
+// The seed's per-tap clamped loop is kept as gaussian_blur_ref /
+// box_filter_ref: each output accumulates the same taps in the same order
+// with the same float arithmetic, so the production and reference results
+// are bit-identical, and tests memcmp one against the other.
 
 #include "img/image.h"
 
@@ -15,6 +22,13 @@ ImageU8 gaussian_blur(const ImageU8& src, int ksize, double sigma = 0.0);
 
 /// Float variant used inside the cloud filter's illumination estimate.
 ImageF32 gaussian_blur(const ImageF32& src, int ksize, double sigma = 0.0);
+
+/// Reference implementations (the seed's per-tap clamped loop), kept as the
+/// ground truth box_filter/gaussian_blur are tested against. Bit-identical
+/// to them; not for production use.
+ImageU8 box_filter_ref(const ImageU8& src, int ksize);
+ImageU8 gaussian_blur_ref(const ImageU8& src, int ksize, double sigma = 0.0);
+ImageF32 gaussian_blur_ref(const ImageF32& src, int ksize, double sigma = 0.0);
 
 /// Median filter with an odd ksize x ksize window (single channel only);
 /// histogram-based so it is O(1) per pixel update.

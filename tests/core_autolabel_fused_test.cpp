@@ -87,19 +87,3 @@ TEST(FusedAutoLabel, RejectsNonRgbInput) {
   EXPECT_THROW(labeler.label(gray), std::invalid_argument);
   EXPECT_THROW(labeler.label_reference(gray), std::invalid_argument);
 }
-
-// The pooled cloud filter must match the sequential one bit-for-bit (the
-// fused pointwise stages only re-partition rows, never reorder arithmetic).
-TEST(FusedAutoLabel, PooledCloudFilterBitIdentical) {
-  const auto scene = make_scene(96, /*cloudy=*/true, 55);
-  const pc::CloudShadowFilter filter;
-  pp::ThreadPool pool(4);
-  const auto seq = filter.apply_with_diagnostics(scene.rgb);
-  const auto par = filter.apply_with_diagnostics(scene.rgb, polarice::par::ExecutionContext(&pool));
-  EXPECT_TRUE(seq.filtered == par.filtered);
-  EXPECT_TRUE(seq.cloud_mask == par.cloud_mask);
-  EXPECT_TRUE(seq.alpha == par.alpha);
-  EXPECT_TRUE(seq.beta == par.beta);
-  EXPECT_TRUE(filter.apply(scene.rgb, polarice::par::ExecutionContext(&pool)) ==
-              seq.filtered);
-}

@@ -7,11 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "core/autolabel.h"
 #include "core/cloud_filter.h"
 #include "img/color.h"
 #include "metrics/metrics.h"
 #include "metrics/ssim.h"
+#include "par/thread_pool.h"
 #include "s2/manual_label.h"
 #include "s2/scene.h"
 
@@ -19,6 +22,7 @@ namespace pc = polarice::core;
 namespace ps = polarice::s2;
 namespace pi = polarice::img;
 namespace pm = polarice::metrics;
+namespace pp = polarice::par;
 
 namespace {
 ps::Scene make_scene(bool cloudy, std::uint64_t seed = 21) {
@@ -165,6 +169,37 @@ TEST(CloudShadowFilter, DiagnosticsShapesAndMask) {
     EXPECT_TRUE(v == 0 || v == 255);
   }
 }
+
+// The pooled filter must match the sequential one bit-for-bit on every
+// output: the pointwise stages only re-partition rows, and the blurs and
+// envelopes do not depend on the pool. (width, height, scene seed)
+class CloudFilterPoolInvariance
+    : public ::testing::TestWithParam<std::tuple<int, int, std::uint64_t>> {};
+
+TEST_P(CloudFilterPoolInvariance, PooledRunIsByteIdentical) {
+  const auto [w, h, seed] = GetParam();
+  ps::SceneConfig cfg;
+  cfg.width = w;
+  cfg.height = h;
+  cfg.seed = seed;
+  cfg.cloudy = true;
+  const auto scene = ps::SceneGenerator(cfg).generate();
+  const pc::CloudShadowFilter filter;
+  pp::ThreadPool pool(4);
+  const pp::ExecutionContext ctx(&pool);
+  const auto seq = filter.apply_with_diagnostics(scene.rgb);
+  const auto par = filter.apply_with_diagnostics(scene.rgb, ctx);
+  EXPECT_TRUE(seq.filtered == par.filtered);
+  EXPECT_TRUE(seq.alpha == par.alpha);
+  EXPECT_TRUE(seq.beta == par.beta);
+  EXPECT_TRUE(seq.cloud_mask == par.cloud_mask);
+  EXPECT_TRUE(filter.apply(scene.rgb, ctx) == seq.filtered);
+}
+
+INSTANTIATE_TEST_SUITE_P(Scenes, CloudFilterPoolInvariance,
+                         ::testing::Values(std::make_tuple(512, 512, 5u),
+                                           std::make_tuple(96, 96, 55u),
+                                           std::make_tuple(96, 64, 77u)));
 
 TEST(CloudShadowFilter, HandlesTinyImagesByClampingKernels) {
   const pc::CloudShadowFilter filter;
